@@ -9,6 +9,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q (unit and doc tests of every crate)"
+cargo test --workspace -q
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

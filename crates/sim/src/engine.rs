@@ -37,7 +37,7 @@ use charllm_net::{lower_collective, ArenaItem, LinkHealth, SliceArena, SliceRef}
 use charllm_parallel::Placement;
 use charllm_telemetry::metrics::{Gauge, MetricsShard};
 use charllm_telemetry::{phase, GpuSample, SpanRecorder, TelemetryStore};
-use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, ThermalSpec};
+use charllm_thermal::{GovernorConfig, GpuThermal, GpuVariability, IdleHold, ThermalSpec};
 use charllm_trace::{ExecutionTrace, KernelClass, Step};
 
 use crate::accrual;
@@ -925,6 +925,12 @@ pub struct EngineStats {
     /// retirement or compute completion) — pops the drain loop never had
     /// to evaluate or skip.
     pub cal_exact_removals: u64,
+    /// Control ticks run inside fail-stop outages.
+    pub stall_ticks: u64,
+    /// Of [`EngineStats::stall_ticks`], those run as idle holds: every
+    /// active GPU's idle period was a precomputed no-change step (see
+    /// `Simulator::fault_stall`).
+    pub stall_hold_ticks: u64,
 }
 
 /// Engine-side configuration of a symmetry-folded run, prepared by
@@ -1080,6 +1086,9 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     thermals: Vec<GpuThermal>,
     freq_ratio: Vec<f64>,
     last_power_w: Vec<f64>,
+    /// Scratch for one node's slot powers (the airflow model's input at a
+    /// control tick), reused across nodes and ticks.
+    node_powers: Vec<f64>,
     /// Cached `cluster.gpu().peak_fp16_flops`, read per computing rank per
     /// event in `compute_rate`.
     peak_flops: f64,
@@ -1441,6 +1450,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             thermals,
             freq_ratio,
             last_power_w,
+            node_powers: Vec::new(),
             peak_flops: cluster.gpu().peak_fp16_flops,
             activity_acc: vec![0.0; num_gpus],
             util_acc: vec![0.0; num_gpus],
@@ -1797,6 +1807,13 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// every joule accrued here is counted as wasted. In-flight kernels and
     /// flows hold their remaining work — the outage shifts their completion
     /// by its length.
+    ///
+    /// Once every active GPU's clock has parked at base during the idle
+    /// stretch, a control tick no longer changes any input of the next
+    /// one: power stays at idle, so inlets stay put, and the temperature
+    /// relaxes by a fixed affine map. Those ticks run as holds
+    /// ([`GpuThermal::idle_hold`]), which reproduce `control_update` bit for
+    /// bit at a fraction of its cost. The redo stretch runs full ticks.
     fn fault_stall(&mut self, rt: &mut FaultRuntime, idle_s: f64, redo_s: f64) {
         let start = self.t;
         let end = start + idle_s.max(0.0) + redo_s.max(0.0);
@@ -1807,11 +1824,16 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         // Close every open segment at the outage start, then freeze
         // accrual: ranks and flows hold their work during the stall, so a
         // lazy segment spanning it would charge kernel/traffic time that
-        // never ran. Frozen flushes only rebase `acc_since` (the control
-        // updates below still read the synthetic redo activity).
+        // never ran. Stall ticks skip the accrual flush (a frozen flush
+        // would only rebase `acc_since`, which `rebase_accruals` does once
+        // at the end); the control updates still read the synthetic redo
+        // activity.
         self.flush_accruals(start);
         self.accrual_frozen = true;
         let energy_before: f64 = self.thermals.iter().map(GpuThermal::energy_j).sum();
+        // Per active GPU in control order, once every GPU holds.
+        let mut holds: Vec<(u32, IdleHold)> = Vec::new();
+        let mut redo_started = false;
         while end - self.t > 1e-9 {
             let dt = (self.next_control - self.t).min(end - self.t).max(1e-9);
             let redo_overlap = (self.t + dt - redo_from.max(self.t)).max(0.0).min(dt);
@@ -1819,10 +1841,21 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 for acc in &mut self.activity_acc {
                     *acc += 0.75 * redo_overlap;
                 }
+                redo_started = true;
+                holds.clear();
             }
             self.t += dt;
             if self.t >= self.next_control - 1e-12 {
-                self.control_update();
+                self.stats.stall_ticks += 1;
+                if holds.is_empty() && !redo_started {
+                    self.collect_idle_holds(&mut holds);
+                }
+                if holds.is_empty() {
+                    self.control_update();
+                } else {
+                    self.stats.stall_hold_ticks += 1;
+                    self.hold_tick(&holds);
+                }
                 self.next_control += self.cfg.control_period_s;
             }
         }
@@ -1835,6 +1868,68 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         if self.measure_start.is_some() {
             rt.downtime_measured_s += outage;
         }
+    }
+
+    /// Fill `holds` with every active GPU's idle hold for the tick at
+    /// `self.t`, in control order, if the tick is a fixed point for all of
+    /// them: no activity accrued since the last tick, a clock parked at base
+    /// (so the hold's power is what the GPU drew last tick and no node's
+    /// inlet moves), and a frequency ratio that will not change. Leaves
+    /// `holds` empty otherwise.
+    fn collect_idle_holds(&mut self, holds: &mut Vec<(u32, IdleHold)>) {
+        let period = self.cfg.control_period_s;
+        let slots = self.cluster.node_layout().airflow.num_slots();
+        let mut node_powers = std::mem::take(&mut self.node_powers);
+        'nodes: for ni in 0..self.active_nodes.len() {
+            let node = self.active_nodes[ni] as usize;
+            self.fill_node_powers(node, &mut node_powers);
+            for slot in 0..slots {
+                let gpu = self.gpu_at(node, slot);
+                if self.activity_acc[gpu] != 0.0 {
+                    holds.clear();
+                    break 'nodes;
+                }
+                let inlet = self.inlet_c(gpu, slot, &node_powers);
+                let thermal = &self.thermals[gpu];
+                let ratio = if self.cfg.thermal_feedback {
+                    thermal.freq_ratio()
+                } else {
+                    1.0
+                };
+                match thermal.idle_hold(inlet, period) {
+                    Some(hold)
+                        if hold.power_w.to_bits() == self.last_power_w[gpu].to_bits()
+                            && ratio.to_bits() == self.freq_ratio[gpu].to_bits() =>
+                    {
+                        holds.push((gpu as u32, hold));
+                    }
+                    _ => {
+                        holds.clear();
+                        break 'nodes;
+                    }
+                }
+            }
+        }
+        self.node_powers = node_powers;
+    }
+
+    /// A control tick in which every active GPU applies its idle hold: the
+    /// same thermal state, observer ticks, measured energy (added in the
+    /// same order) and telemetry samples as `control_update` at a fixed
+    /// point.
+    fn hold_tick(&mut self, holds: &[(u32, IdleHold)]) {
+        let period = self.cfg.control_period_s;
+        let measuring = self.measure_start.is_some();
+        for &(gpu, ref hold) in holds {
+            self.thermals[gpu as usize].apply_hold(hold);
+            self.obs
+                .sample_tick(gpu, self.t, hold.power_w, period, measuring);
+            if measuring {
+                self.energy_measured_j += hold.power_w * period;
+            }
+        }
+        self.sample_telemetry();
+        self.publish_metrics();
     }
 
     /// Run to completion.
@@ -3117,29 +3212,23 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     fn control_update(&mut self) {
         // The thermal step and telemetry sample below read the activity /
         // util / PCIe accumulators, so every open accrual segment must be
-        // closed first.
-        self.flush_accruals(self.t);
+        // closed first (during a fail-stop outage accrual is frozen and
+        // there is nothing to close).
+        if !self.accrual_frozen {
+            self.flush_accruals(self.t);
+        }
         let period = self.cfg.control_period_s;
-        let airflow = &self.cluster.node_layout().airflow;
-        let slots = airflow.num_slots();
+        let slots = self.cluster.node_layout().airflow.num_slots();
         let measuring = self.measure_start.is_some();
+        let mut node_powers = std::mem::take(&mut self.node_powers);
 
         for ni in 0..self.active_nodes.len() {
             let node = self.active_nodes[ni] as usize;
-            let node_powers: Vec<f64> = (0..slots)
-                .map(|s| {
-                    let gpu = self
-                        .cluster
-                        .gpu_at(charllm_hw::NodeId(node as u32), s)
-                        .index();
-                    self.last_power_w[gpu]
-                })
-                .collect();
+            self.fill_node_powers(node, &mut node_powers);
             for slot in 0..slots {
-                let gpu_id = self.cluster.gpu_at(charllm_hw::NodeId(node as u32), slot);
-                let gpu = gpu_id.index();
+                let gpu = self.gpu_at(node, slot);
                 let activity = (self.activity_acc[gpu] / period).min(1.0);
-                let inlet = airflow.inlet_temp_c(slot, &node_powers) + self.inlet_offset_c[gpu];
+                let inlet = self.inlet_c(gpu, slot, &node_powers);
                 let sample = self.thermals[gpu].step(activity, inlet, period);
                 // With feedback disabled the physics still run (for power
                 // and temperature telemetry) but clocks stay pinned.
@@ -3161,11 +3250,43 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 self.activity_acc[gpu] = 0.0;
             }
         }
+        self.node_powers = node_powers;
 
+        self.sample_telemetry();
+        self.publish_metrics();
+    }
+
+    /// The GPU in `slot` of `node`.
+    fn gpu_at(&self, node: usize, slot: usize) -> usize {
+        self.cluster
+            .gpu_at(charllm_hw::NodeId(node as u32), slot)
+            .index()
+    }
+
+    /// Load `node`'s slot powers as of the last control tick into `out`.
+    fn fill_node_powers(&self, node: usize, out: &mut Vec<f64>) {
+        let slots = self.cluster.node_layout().airflow.num_slots();
+        out.clear();
+        out.extend((0..slots).map(|s| self.last_power_w[self.gpu_at(node, s)]));
+    }
+
+    /// Effective inlet temperature of `gpu` in `slot`, given its node's
+    /// slot powers.
+    fn inlet_c(&self, gpu: usize, slot: usize, node_powers: &[f64]) -> f64 {
+        self.cluster
+            .node_layout()
+            .airflow
+            .inlet_temp_c(slot, node_powers)
+            + self.inlet_offset_c[gpu]
+    }
+
+    /// Take the telemetry sample of every active GPU if a sample period
+    /// has elapsed.
+    fn sample_telemetry(&mut self) {
         if self.t >= self.next_sample - 1e-12 {
+            let window = self.cfg.sample_period_s;
             for gi in 0..self.active_gpus.len() {
                 let gpu = self.active_gpus[gi] as usize;
-                let window = self.cfg.sample_period_s;
                 let sample = GpuSample {
                     power_w: self.last_power_w[gpu],
                     temp_c: self.thermals[gpu].temp_c(),
@@ -3179,8 +3300,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             }
             self.next_sample += self.cfg.sample_period_s;
         }
-
-        self.publish_metrics();
     }
 
     fn blocked_summary(&self) -> String {

@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::timeseries::TimeSeries;
+use crate::timeseries::SeriesView;
 
 /// Mean/peak/min summary of one series.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
@@ -17,7 +17,8 @@ pub struct SeriesSummary {
 
 impl SeriesSummary {
     /// Summarize a series.
-    pub fn of(series: &TimeSeries) -> Self {
+    pub fn of<'a>(series: impl Into<SeriesView<'a>>) -> Self {
+        let series = series.into();
         SeriesSummary {
             mean: series.mean(),
             peak: series.peak(),
@@ -27,8 +28,8 @@ impl SeriesSummary {
 }
 
 /// Mean of per-series means over a group (e.g. front-row GPUs).
-pub fn group_mean<'a>(series: impl Iterator<Item = &'a TimeSeries>) -> f64 {
-    let means: Vec<f64> = series.map(TimeSeries::mean).collect();
+pub fn group_mean<'a, S: Into<SeriesView<'a>>>(series: impl Iterator<Item = S>) -> f64 {
+    let means: Vec<f64> = series.map(|s| s.into().mean()).collect();
     if means.is_empty() {
         0.0
     } else {
@@ -51,6 +52,7 @@ pub fn relative_gap(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeseries::TimeSeries;
 
     #[test]
     fn summary_of_series() {
@@ -70,7 +72,7 @@ mod tests {
         let mut b = TimeSeries::new();
         b.push(0.0, 20.0);
         assert_eq!(group_mean([&a, &b].into_iter()), 15.0);
-        assert_eq!(group_mean([].into_iter()), 0.0);
+        assert_eq!(group_mean(std::iter::empty::<&TimeSeries>()), 0.0);
     }
 
     #[test]

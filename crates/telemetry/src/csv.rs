@@ -3,16 +3,20 @@
 use std::io::{self, Write};
 
 use crate::store::TelemetryStore;
-use crate::timeseries::TimeSeries;
+use crate::timeseries::SeriesView;
 
 /// Write one series as `t,value` rows.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the writer.
-pub fn write_series<W: Write>(mut w: W, header: &str, series: &TimeSeries) -> io::Result<()> {
+pub fn write_series<'a, W: Write>(
+    mut w: W,
+    header: &str,
+    series: impl Into<SeriesView<'a>>,
+) -> io::Result<()> {
     writeln!(w, "t_s,{header}")?;
-    for (t, v) in series.iter() {
+    for (t, v) in series.into().iter() {
         writeln!(w, "{t:.4},{v:.4}")?;
     }
     Ok(())
@@ -55,6 +59,7 @@ pub fn write_store<W: Write>(mut w: W, store: &TelemetryStore) -> io::Result<()>
 mod tests {
     use super::*;
     use crate::store::GpuSample;
+    use crate::timeseries::TimeSeries;
 
     #[test]
     fn series_csv_roundtrip_shape() {
@@ -142,6 +147,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn store_csv_bytes_are_pinned() {
+        // GPU 1 is filled by `copy_gpu` from GPU 2; the expected text is
+        // what the per-GPU `(t, v)` store layout wrote for the same input.
+        let mut store = TelemetryStore::new(3);
+        for i in 0..3 {
+            let t = 0.05 * (i + 1) as f64;
+            for g in [0, 2] {
+                store.record(
+                    g,
+                    t,
+                    GpuSample {
+                        power_w: 100.0 + 12.345 * (g * 3 + i) as f64,
+                        temp_c: 40.0 + 1.5 * g as f64 + 0.25 * i as f64,
+                        freq_mhz: 1590.0 + 45.0 * i as f64,
+                        util: 0.125 * (g + i) as f64,
+                        pcie_gbps: 0.3 * (g + i) as f64,
+                    },
+                );
+            }
+        }
+        store.copy_gpu(2, 1);
+        let mut buf = Vec::new();
+        write_store(&mut buf, &store).unwrap();
+        assert_eq!(
+            String::from_utf8(buf).unwrap(),
+            "t_s,power0_w,temp0_c,freq0_mhz,util0,pcie0_gbps,power1_w,temp1_c,freq1_mhz,\
+             util1,pcie1_gbps,power2_w,temp2_c,freq2_mhz,util2,pcie2_gbps\n\
+             0.0500,100.00,40.00,1590,0.000,0.000,174.07,43.00,1590,0.250,0.600,\
+             174.07,43.00,1590,0.250,0.600\n\
+             0.1000,112.34,40.25,1635,0.125,0.300,186.42,43.25,1635,0.375,0.900,\
+             186.42,43.25,1635,0.375,0.900\n\
+             0.1500,124.69,40.50,1680,0.250,0.600,198.76,43.50,1680,0.500,1.200,\
+             198.76,43.50,1680,0.500,1.200\n"
+        );
     }
 
     #[test]

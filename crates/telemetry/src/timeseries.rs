@@ -28,6 +28,14 @@ impl TimeSeries {
         self.v.push(v);
     }
 
+    /// A borrowed view of the whole series.
+    pub fn view(&self) -> SeriesView<'_> {
+        SeriesView {
+            t: &self.t,
+            v: &self.v,
+        }
+    }
+
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.t.len()
@@ -50,6 +58,93 @@ impl TimeSeries {
 
     /// Iterate `(t, v)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.view().iter()
+    }
+
+    /// Arithmetic mean of the values (0.0 when empty).
+    pub fn mean(&self) -> f64 {
+        self.view().mean()
+    }
+
+    /// Maximum value (0.0 when empty).
+    pub fn peak(&self) -> f64 {
+        self.view().peak()
+    }
+
+    /// Minimum value (0.0 when empty).
+    pub fn min(&self) -> f64 {
+        self.view().min()
+    }
+
+    /// Trapezoidal integral over time (e.g. watts → joules).
+    pub fn integrate(&self) -> f64 {
+        self.view().integrate()
+    }
+
+    /// The sub-series with `t >= from` (used to discard warm-up iterations,
+    /// as the paper discards its first 10).
+    pub fn since(&self, from: f64) -> TimeSeries {
+        self.view().since(from)
+    }
+
+    /// A percentile of the values (linear interpolation; `p` in `[0, 100]`).
+    pub fn percentile(&self, p: f64) -> f64 {
+        self.view().percentile(p)
+    }
+}
+
+/// A borrowed time series: a slice of timestamps and the index-aligned
+/// values. [`crate::TelemetryStore`] hands these out, pairing its one
+/// shared time axis with a GPU's value column; [`TimeSeries::view`] gives
+/// one over an owned series.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeriesView<'a> {
+    t: &'a [f64],
+    v: &'a [f64],
+}
+
+impl<'a> From<&'a TimeSeries> for SeriesView<'a> {
+    fn from(series: &'a TimeSeries) -> Self {
+        series.view()
+    }
+}
+
+impl<'a> SeriesView<'a> {
+    /// A view pairing `times` with `values`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length.
+    pub(crate) fn new(times: &'a [f64], values: &'a [f64]) -> Self {
+        assert_eq!(times.len(), values.len(), "one value per timestamp");
+        SeriesView {
+            t: times,
+            v: values,
+        }
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.t.len()
+    }
+
+    /// Whether the series has no samples.
+    pub fn is_empty(&self) -> bool {
+        self.t.is_empty()
+    }
+
+    /// Timestamps.
+    pub fn times(&self) -> &'a [f64] {
+        self.t
+    }
+
+    /// Values.
+    pub fn values(&self) -> &'a [f64] {
+        self.v
+    }
+
+    /// Iterate `(t, v)` pairs.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, f64)> + 'a {
         self.t.iter().copied().zip(self.v.iter().copied())
     }
 
@@ -89,8 +184,7 @@ impl TimeSeries {
         acc
     }
 
-    /// The sub-series with `t >= from` (used to discard warm-up iterations,
-    /// as the paper discards its first 10).
+    /// The sub-series with `t >= from`, owned.
     pub fn since(&self, from: f64) -> TimeSeries {
         let start = self.t.partition_point(|&t| t < from);
         TimeSeries {
@@ -104,7 +198,7 @@ impl TimeSeries {
         if self.v.is_empty() {
             return 0.0;
         }
-        let mut sorted = self.v.clone();
+        let mut sorted = self.v.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in telemetry"));
         let pos = (p.clamp(0.0, 100.0) / 100.0) * (sorted.len() - 1) as f64;
         let lo = pos.floor() as usize;

@@ -111,6 +111,19 @@ impl DvfsGovernor {
         }
     }
 
+    /// Whether an idle control period would leave the governor exactly as
+    /// it is: the clock already sits where the idle drop stops
+    /// (`(f − step).max(base) == f`, bit for bit) and the cause is already
+    /// `Idle`. Idle periods touch no throttle counter, so such a period is
+    /// a no-op.
+    pub fn idle_is_fixed(&self, spec: &GpuSpec) -> bool {
+        self.cause == ThrottleReason::Idle
+            && (self.freq_mhz - self.cfg.step_down_mhz)
+                .max(spec.base_clock_mhz)
+                .to_bits()
+                == self.freq_mhz.to_bits()
+    }
+
     /// Advance one control period: adjust the clock given junction
     /// temperature, activity and the power model. Returns the reason the
     /// clock is (still) below boost, if any.
@@ -326,6 +339,22 @@ mod tests {
         // Below the band, recovering: the cause is still the thermal event.
         let r = gov.update(&spec, &power, 70.0, 1.0, 1.0);
         assert_eq!(r, ThrottleReason::Thermal);
+    }
+
+    #[test]
+    fn idle_is_fixed_once_parked_at_base() {
+        let (spec, power, mut gov) = setup();
+        assert!(!gov.idle_is_fixed(&spec), "boost clock, cause None");
+        while gov.freq_mhz() > spec.base_clock_mhz {
+            assert!(!gov.idle_is_fixed(&spec));
+            gov.update(&spec, &power, 40.0, 0.0, 1.0);
+        }
+        assert!(gov.idle_is_fixed(&spec));
+        let before = gov.clone();
+        gov.update(&spec, &power, 40.0, 0.0, 1.0);
+        assert_eq!(gov, before, "a fixed idle period changes nothing");
+        gov.update(&spec, &power, 60.0, 0.8, 1.0);
+        assert!(!gov.idle_is_fixed(&spec), "busy period steps the clock up");
     }
 
     #[test]

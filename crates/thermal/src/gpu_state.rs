@@ -6,7 +6,7 @@ use charllm_hw::GpuSpec;
 
 use crate::governor::{DvfsGovernor, GovernorConfig, ThrottleReason};
 use crate::power::PowerModel;
-use crate::rc::ThermalSpec;
+use crate::rc::{Relaxation, ThermalSpec};
 use crate::variability::GpuVariability;
 
 /// One telemetry sample produced by a state step.
@@ -22,6 +22,18 @@ pub struct ThermalSample {
     pub throttled: bool,
     /// Whether the cause was thermal.
     pub thermally_throttled: bool,
+}
+
+/// An idle control period whose outcome no longer changes from period to
+/// period: the clock is parked at base, so power is constant, and at a
+/// constant inlet the temperature relaxes by a fixed affine map. Built by
+/// [`GpuThermal::idle_hold`], applied by [`GpuThermal::apply_hold`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IdleHold {
+    /// Board power through the period, watts.
+    pub power_w: f64,
+    relax: Relaxation,
+    dt_s: f64,
 }
 
 /// The live thermal/power/DVFS state of one GPU.
@@ -126,6 +138,36 @@ impl GpuThermal {
             thermally_throttled: reason == ThrottleReason::Thermal,
         }
     }
+
+    /// The hold for `step(0.0, inlet_c, dt_s)`, if an idle period no longer
+    /// changes the governor (see [`DvfsGovernor::idle_is_fixed`]); `None`
+    /// while the clock is still stepping down or after a busy period.
+    /// Power and the relaxation are evaluated with `step`'s own
+    /// expressions, so applying the hold gives `step`'s bits.
+    pub fn idle_hold(&self, inlet_c: f64, dt_s: f64) -> Option<IdleHold> {
+        if !self.governor.idle_is_fixed(&self.spec) {
+            return None;
+        }
+        let power_w =
+            self.power_model
+                .power_w(0.0, self.freq_ratio(), self.variability.power_efficiency);
+        Some(IdleHold {
+            power_w,
+            relax: self
+                .thermal
+                .relaxation(power_w, inlet_c, self.variability.cooling, dt_s),
+            dt_s,
+        })
+    }
+
+    /// Advance one idle period through a hold built by
+    /// [`GpuThermal::idle_hold`] at the same inlet: bit for bit what
+    /// `step(0.0, inlet_c, dt_s)` would do.
+    pub fn apply_hold(&mut self, hold: &IdleHold) {
+        self.power_w = hold.power_w;
+        self.temp_c = hold.relax.apply(self.temp_c);
+        self.energy_j += hold.power_w * hold.dt_s;
+    }
 }
 
 #[cfg(test)]
@@ -222,6 +264,110 @@ mod tests {
             good.step(1.0, 26.0, 0.1);
         }
         assert!(bad.temp_c() > good.temp_c());
+    }
+
+    /// Busy-heat a GPU, then idle it until its clock parks at base and
+    /// [`GpuThermal::idle_hold`] starts returning a hold.
+    fn parked(variability: GpuVariability, inlet: f64) -> (GpuThermal, IdleHold) {
+        let mut g = gpu(inlet, variability);
+        for _ in 0..400 {
+            g.step(1.0, inlet, 0.005);
+        }
+        for _ in 0..64 {
+            if let Some(hold) = g.idle_hold(inlet, 0.005) {
+                return (g, hold);
+            }
+            g.step(0.0, inlet, 0.005);
+        }
+        panic!("an idle GPU must park at base clock");
+    }
+
+    fn assert_same_bits(a: &GpuThermal, b: &GpuThermal) {
+        assert_eq!(a.temp_c().to_bits(), b.temp_c().to_bits(), "temp");
+        assert_eq!(a.power_w().to_bits(), b.power_w().to_bits(), "power");
+        assert_eq!(a.energy_j().to_bits(), b.energy_j().to_bits(), "energy");
+        assert_eq!(a.freq_mhz().to_bits(), b.freq_mhz().to_bits(), "freq");
+        assert_eq!(
+            a.throttle_ratio().to_bits(),
+            b.throttle_ratio().to_bits(),
+            "throttle"
+        );
+        assert_eq!(
+            a.thermal_throttle_ratio().to_bits(),
+            b.thermal_throttle_ratio().to_bits(),
+            "thermal throttle"
+        );
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn applied_holds_equal_idle_steps_bit_for_bit() {
+        for seed in 0..4 {
+            for gpu_index in [0, 5, 13] {
+                let variability = GpuVariability::for_gpu(GpuId(gpu_index), seed);
+                for inlet in [18.0, 26.0, 41.5] {
+                    let (mut stepped, hold) = parked(variability, inlet);
+                    let mut held = stepped.clone();
+                    for _ in 0..2000 {
+                        stepped.step(0.0, inlet, 0.005);
+                        held.apply_hold(&hold);
+                    }
+                    assert_same_bits(&stepped, &held);
+                    assert_eq!(stepped.idle_hold(inlet, 0.005), Some(hold));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_hold_while_clock_steps_down_or_after_busy_period() {
+        let mut g = gpu(26.0, GpuVariability::nominal());
+        assert_eq!(g.idle_hold(26.0, 0.005), None, "fresh GPU at boost");
+        let spec = g.spec().clone();
+        let mut idle_steps = 0;
+        while g.idle_hold(26.0, 0.005).is_none() {
+            assert!(g.freq_mhz() > spec.base_clock_mhz, "still stepping down");
+            g.step(0.0, 26.0, 0.005);
+            idle_steps += 1;
+        }
+        // 1980 → 1590 MHz in 75 MHz steps, the last one clamped at base.
+        assert_eq!(idle_steps, 6);
+        assert_eq!(g.freq_mhz(), spec.base_clock_mhz);
+        g.step(0.5, 26.0, 0.005);
+        assert_eq!(
+            g.idle_hold(26.0, 0.005),
+            None,
+            "busy period raised the clock"
+        );
+    }
+
+    #[test]
+    fn no_hold_when_the_cause_is_not_idle() {
+        // A thermal step of exactly boost − base parks the clock at base
+        // with the cause `Thermal`: the clock would not move on an idle
+        // period, but the cause would, so there is no hold.
+        let spec = GpuModel::H200.spec();
+        let mut cfg = GovernorConfig::for_spec(&spec);
+        cfg.step_down_mhz = spec.boost_clock_mhz - spec.base_clock_mhz;
+        let inlet = 80.0;
+        let mut g = GpuThermal::new(
+            spec.clone(),
+            ThermalSpec::for_model(GpuModel::H200),
+            cfg,
+            GpuVariability::nominal(),
+            inlet,
+        );
+        assert!(g.temp_c() >= spec.throttle_temp_c);
+        assert!(g.temp_c() < spec.slowdown_temp_c);
+        let sample = g.step(1.0, inlet, 0.005);
+        assert!(sample.thermally_throttled);
+        assert_eq!(g.freq_mhz(), spec.base_clock_mhz);
+        assert_eq!(g.idle_hold(inlet, 0.005), None);
+        g.step(0.0, inlet, 0.005);
+        assert!(
+            g.idle_hold(inlet, 0.005).is_some(),
+            "idle cause, base clock"
+        );
     }
 
     #[test]

@@ -44,8 +44,8 @@ impl ThermalSpec {
         inlet_c + power_w * self.r_c_per_w * cooling_factor
     }
 
-    /// Advance the junction temperature by `dt` seconds (forward Euler with
-    /// internal sub-stepping for stability).
+    /// Advance the junction temperature by `dt` seconds: the exact solution
+    /// of the linear ODE over `dt`, an exponential approach to steady state.
     pub fn step(
         &self,
         temp_c: f64,
@@ -54,16 +54,48 @@ impl ThermalSpec {
         cooling_factor: f64,
         dt_s: f64,
     ) -> f64 {
+        self.relaxation(power_w, inlet_c, cooling_factor, dt_s)
+            .apply(temp_c)
+    }
+
+    /// The affine map [`ThermalSpec::step`] applies to the temperature for
+    /// one period at constant power and inlet. Evaluating it once and
+    /// applying it to every period of a constant stretch gives the same
+    /// bits as calling `step` each period.
+    pub fn relaxation(
+        &self,
+        power_w: f64,
+        inlet_c: f64,
+        cooling_factor: f64,
+        dt_s: f64,
+    ) -> Relaxation {
         let tau = self.r_c_per_w * cooling_factor * self.c_j_per_c;
-        // Exact solution of the linear ODE over dt: exponential approach to
-        // steady state.
-        let target = self.steady_state_c(power_w, inlet_c, cooling_factor);
-        target + (temp_c - target) * (-dt_s / tau).exp()
+        Relaxation {
+            target_c: self.steady_state_c(power_w, inlet_c, cooling_factor),
+            decay: (-dt_s / tau).exp(),
+        }
     }
 
     /// The thermal time constant (seconds) at nominal cooling.
     pub fn time_constant_s(&self) -> f64 {
         self.r_c_per_w * self.c_j_per_c
+    }
+}
+
+/// One period of exponential relaxation toward a steady-state target:
+/// `T ← target + (T − target) · decay`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Relaxation {
+    /// Steady-state temperature at the period's power and inlet, °C.
+    pub target_c: f64,
+    /// `exp(−dt / τ)`.
+    pub decay: f64,
+}
+
+impl Relaxation {
+    /// The temperature after one period starting from `temp_c`.
+    pub fn apply(&self, temp_c: f64) -> f64 {
+        self.target_c + (temp_c - self.target_c) * self.decay
     }
 }
 

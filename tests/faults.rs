@@ -331,3 +331,166 @@ fn mtbf_sweep_hits_shared_cache_on_repeated_points() {
     let stats = third[0].cache.unwrap();
     assert_eq!(stats.lowered_misses, 1, "different fault plan must miss");
 }
+
+// ------------------------------------------------ fail-stop byte identity ---
+
+/// FNV-1a over a canonical byte encoding of a run's outputs.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn f64s(&mut self, vs: &[f64]) {
+        self.u64(vs.len() as u64);
+        for &v in vs {
+            self.f64(v);
+        }
+    }
+}
+
+/// Digest of every `SimResult` field: the serialized result without its
+/// telemetry (shortest round-trip floats, so value-exact), then each GPU's
+/// five telemetry series as raw f64 bits read through the store's
+/// accessors — an encoding independent of how the store serializes.
+fn result_digest(r: &SimResult) -> u64 {
+    let mut d = Digest::new();
+    let mut value = serde_json::to_value(r).unwrap();
+    if let serde_json::Value::Object(fields) = &mut value {
+        assert!(fields.remove("telemetry").is_some());
+    }
+    d.bytes(serde_json::to_string(&value).unwrap().as_bytes());
+    let t = &r.telemetry;
+    d.u64(t.num_gpus() as u64);
+    for g in 0..t.num_gpus() {
+        for s in [t.power(g), t.temp(g), t.freq(g), t.util(g), t.pcie(g)] {
+            d.f64s(s.times());
+            d.f64s(s.values());
+        }
+    }
+    d.0
+}
+
+/// 32 GPUs on four HGX-H200 nodes, GPT-3 13B at tp2·pp2·dp8, two
+/// iterations (one warm-up) with GPU 13 fail-stopping inside the measured
+/// one. The default checkpoint/restart recovery makes the outage a 120 s
+/// idle restart followed by a 5.5 s redo of the lost work.
+fn four_node_fail_stop() -> (Cluster, Placement, ExecutionTrace, SimConfig, FaultPlan) {
+    let cluster = Cluster::new("4xH200", GpuModel::H200.spec(), NodeLayout::hgx(), 4).unwrap();
+    let job = Job::pretrain(models::gpt3_13b()).with_global_batch(32);
+    let spec = ParallelismSpec::infer_dp(2, 2, 1, cluster.num_gpus(), false).unwrap();
+    let partition = StagePartition::even(40, 2).unwrap();
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let trace = lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
+        .unwrap()
+        .trace;
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let mut cfg = SimConfig::fast();
+    cfg.iterations = 2;
+    cfg.warmup_iterations = 1;
+    let plan = FaultPlan::none().gpu_fail_stop(13, 5.5);
+    (cluster, placement, trace, cfg, plan)
+}
+
+fn assert_digest(what: &str, got: u64, want: u64) {
+    assert_eq!(
+        got, want,
+        "{what}: digest {got:#018x} differs from the pinned {want:#018x}"
+    );
+}
+
+/// The outage's idle ticks run as holds, which must reproduce the full
+/// control update exactly: the digests below were recorded with an engine
+/// that stepped every GPU through `control_update` on every outage tick.
+#[test]
+fn fail_stop_outputs_are_pinned_bit_for_bit() {
+    let (cluster, placement, trace, cfg, plan) = four_node_fail_stop();
+    let run = |cfg: SimConfig, plan: &FaultPlan| {
+        Simulator::new(&cluster, &placement, &trace, cfg)
+            .unwrap()
+            .with_faults(plan)
+            .unwrap()
+            .run_stats()
+            .unwrap()
+    };
+    let (default, stats) = run(cfg, &plan);
+    assert_eq!(default.restarts, 1);
+    assert!(default.fault_downtime_s > 125.0, "idle restart plus redo");
+    // 120 s idle + 5.5 s redo at 5 ms per tick. All but the first few idle
+    // ticks (pre-fault activity, then the clock stepping down to base) are
+    // holds; the redo stretch runs full ticks.
+    assert_eq!(stats.stall_ticks, 25_101);
+    assert_eq!(stats.stall_hold_ticks, 23_994);
+    assert_digest(
+        "default recovery",
+        result_digest(&default),
+        0x726c_875d_3c3c_0c5b,
+    );
+
+    let (pinned_clocks, stats) = run(
+        SimConfig {
+            thermal_feedback: false,
+            ..cfg
+        },
+        &plan,
+    );
+    assert_eq!(stats.stall_hold_ticks, 23_994);
+    assert_digest(
+        "thermal_feedback: false",
+        result_digest(&pinned_clocks),
+        0x4ad5_fcc6_e4a3_a04e,
+    );
+
+    let (_, clean) = run(cfg, &FaultPlan::none());
+    assert_eq!((clean.stall_ticks, clean.stall_hold_ticks), (0, 0));
+
+    let (observed, recorder) = Simulator::with_observer(
+        &cluster,
+        &placement,
+        &trace,
+        cfg,
+        charllm_telemetry::SpanRecorder::new(),
+    )
+    .unwrap()
+    .with_faults(&plan)
+    .unwrap()
+    .run_observed()
+    .unwrap();
+    assert_digest(
+        "observed run",
+        result_digest(&observed),
+        0x726c_875d_3c3c_0c5b,
+    );
+    assert!(
+        recorder
+            .power_ticks()
+            .iter()
+            .any(|tick| tick.measuring && tick.t_s > 6.0 && tick.t_s < 120.0),
+        "the outage must fall inside the measured iteration"
+    );
+    let mut d = Digest::new();
+    for tick in recorder.power_ticks() {
+        d.u64(u64::from(tick.gpu));
+        d.f64(tick.t_s);
+        d.f64(tick.power_w);
+        d.f64(tick.period_s);
+        d.u64(u64::from(tick.measuring));
+    }
+    assert_digest("observed power ticks", d.0, 0xd50e_da10_ab11_07c4);
+}

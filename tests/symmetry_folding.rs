@@ -76,8 +76,8 @@ fn run_folded(
 /// one-ulp difference that already separates the *replicas of an unfolded
 /// run* from each other. Folding reproduces replica 0 to the same ulp.
 fn assert_series_close(
-    a: &charllm_telemetry::TimeSeries,
-    b: &charllm_telemetry::TimeSeries,
+    a: charllm_telemetry::SeriesView<'_>,
+    b: charllm_telemetry::SeriesView<'_>,
     what: &str,
 ) {
     assert_eq!(a.times(), b.times(), "{what} sample times");
