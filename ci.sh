@@ -12,6 +12,9 @@ cargo test -q
 echo "==> cargo test --workspace -q (unit and doc tests of every crate)"
 cargo test --workspace -q
 
+echo "==> cargo test perfbench (the benchmark crate reads EngineStats and SimConfig)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

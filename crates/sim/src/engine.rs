@@ -585,10 +585,8 @@ struct PlanRange {
 }
 
 /// The bottleneck fair-share rate of the flow in `slot`: the min over its
-/// route hops of `health × bw / load`. A pure function of frozen loads and
-/// link health — free of `&mut` state — so dirty batches can be rated on
-/// any worker in any order and still produce the exact bits the serial
-/// path produces (write-back order is what stays serial).
+/// route hops of `health × bw / load`. A pure function of the current
+/// loads and link health.
 #[inline]
 fn flow_rate(
     slot: usize,
@@ -615,10 +613,10 @@ fn flow_rate(
 /// generation stamp). Entries are removed *at the site that invalidates
 /// them* (re-key, retirement) via the owner's stored location, so the
 /// queue holds exactly one live entry per schedulable entity; the epoch
-/// survives as a belt-and-braces stale check (counted in
-/// [`EngineStats::heap_skips`], expected ~0). Drain order
-/// never affects results: `next_dt` takes an order-independent `f64::min`
-/// over the exact candidates of every drained live entry.
+/// survives as a belt-and-braces stale check (a stale entry is dropped
+/// when drained). Drain order never affects results: `next_dt` takes an
+/// order-independent `f64::min` over the exact candidates of every drained
+/// live entry.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     key: f64,
@@ -654,11 +652,6 @@ impl HeapEntry {
         self.meta as u32
     }
 }
-
-/// Smallest dirty-flow batch worth fanning out over the scoped worker
-/// pool: below this, thread spawn/join overhead dwarfs the pure rate
-/// computations (and the serial path is identical bit-for-bit anyway).
-const PAR_RERATE_MIN: usize = 64;
 
 /// Global re-key cadence: every this-many events the calendar is rebuilt
 /// from live state, re-basing the wheel at the current time and resetting
@@ -870,6 +863,8 @@ impl FaultRuntime {
 /// Counters describing how much work the event-driven engine avoided.
 ///
 /// Returned by [`Simulator::run_stats`]; every field is monotone over a run.
+/// [`EngineStats::counters`] lists them by name, and an engine built
+/// [`Simulator::with_metrics`] publishes each one as the gauge `sim_<name>`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EngineStats {
     /// Scheduler rounds that advanced simulated time.
@@ -887,15 +882,13 @@ pub struct EngineStats {
     /// High-water mark of live collective state entries.
     pub peak_live_colls: u64,
     /// High-water mark of schedulable entities (in-flight flows plus
-    /// computing ranks) — the population the scan/heap crossover
+    /// computing ranks) — the population the scan/calendar crossover
     /// ([`SimConfig::sched_heap_threshold`]) is judged against.
     pub peak_live: u64,
-    /// Entries pushed onto the completion heap (re-keys included).
+    /// Entries pushed into the completion calendar (re-keys included).
     pub heap_pushes: u64,
-    /// Live entries popped and evaluated by `next_dt`.
+    /// Live calendar entries drained and evaluated by `next_dt`.
     pub heap_pops: u64,
-    /// Stale entries (epoch mismatch) discarded on pop.
-    pub heap_skips: u64,
     /// Collective launches served from a cross-run shared plan set
     /// (zero unless the simulator was built with [`SharedPlans`]).
     pub shared_plan_hits: u64,
@@ -917,10 +910,6 @@ pub struct EngineStats {
     /// Flow-arena slots reused from the free list (launches minus arena
     /// growth): how often the steady-state launch path ran allocation-free.
     pub arena_slot_reuses: u64,
-    /// Dirty-flow re-rate batches fanned out over the scoped worker pool
-    /// (zero when [`SimConfig::rerate_workers`] ≤ 1 or batches stayed under
-    /// the parallel threshold).
-    pub parallel_rerate_batches: u64,
     /// Calendar entries removed by exact location at a retire site (flow
     /// retirement or compute completion) — pops the drain loop never had
     /// to evaluate or skip.
@@ -931,6 +920,54 @@ pub struct EngineStats {
     /// active GPU's idle period was a precomputed no-change step (see
     /// `Simulator::fault_stall`).
     pub stall_hold_ticks: u64,
+}
+
+impl EngineStats {
+    /// Every counter as `(name, value)`, in declaration order. The names
+    /// are the field names; the metrics gauges take theirs from here.
+    pub fn counters(&self) -> [(&'static str, u64); 18] {
+        // Destructured so that a new field fails to compile until listed.
+        let EngineStats {
+            events,
+            plan_builds,
+            plan_reuses,
+            flows_launched,
+            wakes,
+            colls_retired,
+            peak_live_colls,
+            peak_live,
+            heap_pushes,
+            heap_pops,
+            shared_plan_hits,
+            cal_rekeys,
+            cal_bucket_drains,
+            cal_overflow_peak,
+            arena_slot_reuses,
+            cal_exact_removals,
+            stall_ticks,
+            stall_hold_ticks,
+        } = *self;
+        [
+            ("events", events),
+            ("plan_builds", plan_builds),
+            ("plan_reuses", plan_reuses),
+            ("flows_launched", flows_launched),
+            ("wakes", wakes),
+            ("colls_retired", colls_retired),
+            ("peak_live_colls", peak_live_colls),
+            ("peak_live", peak_live),
+            ("heap_pushes", heap_pushes),
+            ("heap_pops", heap_pops),
+            ("shared_plan_hits", shared_plan_hits),
+            ("cal_rekeys", cal_rekeys),
+            ("cal_bucket_drains", cal_bucket_drains),
+            ("cal_overflow_peak", cal_overflow_peak),
+            ("arena_slot_reuses", arena_slot_reuses),
+            ("cal_exact_removals", cal_exact_removals),
+            ("stall_ticks", stall_ticks),
+            ("stall_hold_ticks", stall_hold_ticks),
+        ]
+    }
 }
 
 /// Engine-side configuration of a symmetry-folded run, prepared by
@@ -1023,7 +1060,7 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     heap_mode: bool,
     /// Key of each computing rank's live calendar entry (`INFINITY` =
     /// none). Lets `push_compute_key` skip the push when the stored entry
-    /// is still a valid lower bound, mirroring `rekey_rated_flow`'s `heap_key`
+    /// is still a valid lower bound, mirroring `rekey_flow`'s `heap_key`
     /// test.
     rank_key: Vec<f64>,
     /// Location of each rank's live calendar entry ([`LOC_NONE`] = none).
@@ -1044,11 +1081,6 @@ pub struct Simulator<'a, O: SimObserver = NoopObserver> {
     ranks_of_gpu: Vec<Vec<u32>>,
     /// Events since the last full re-key (see [`REKEY_INTERVAL`]).
     events_since_rekey: u64,
-    /// Gather buffer for the dirty-flow re-rate pass (slots, gather order).
-    rerate_slots: Vec<u32>,
-    /// Rates computed for `rerate_slots`, index-aligned; filled serially or
-    /// by the scoped worker pool, always written back in gather order.
-    rerate_rates: Vec<f64>,
 
     /// One installed plan per `CollectiveId`, interned lazily at first
     /// launch (or at construction for fold-injected plans).
@@ -1169,25 +1201,13 @@ struct EngineMetrics {
     last_wall: Instant,
     /// `stats.events` at the last publication.
     last_events: u64,
+    /// `sim_<name>` for every [`EngineStats::counters`] entry, in order.
+    counters: Vec<Gauge>,
     sim_time_s: Gauge,
-    events: Gauge,
     event_rate_per_s: Gauge,
     live_flows: Gauge,
     live_computing: Gauge,
-    flows_launched: Gauge,
-    plan_builds: Gauge,
-    plan_reuses: Gauge,
-    shared_plan_hits: Gauge,
-    cal_rekeys: Gauge,
-    cal_bucket_drains: Gauge,
     cal_overflow_len: Gauge,
-    cal_overflow_peak: Gauge,
-    heap_pushes: Gauge,
-    heap_pops: Gauge,
-    heap_skips: Gauge,
-    arena_slot_reuses: Gauge,
-    parallel_rerate_batches: Gauge,
-    cal_exact_removals: Gauge,
     fault_downtime_s: Gauge,
     fault_restarts: Gauge,
     fault_energy_wasted_j: Gauge,
@@ -1201,25 +1221,16 @@ impl EngineMetrics {
         EngineMetrics {
             last_wall: Instant::now(),
             last_events: 0,
+            counters: EngineStats::default()
+                .counters()
+                .iter()
+                .map(|(name, _)| g(&format!("sim_{name}")))
+                .collect(),
             sim_time_s: g("sim_time_s"),
-            events: g("sim_events"),
             event_rate_per_s: g("sim_event_rate_per_s"),
             live_flows: g("sim_live_flows"),
             live_computing: g("sim_live_computing"),
-            flows_launched: g("sim_flows_launched"),
-            plan_builds: g("sim_plan_builds"),
-            plan_reuses: g("sim_plan_reuses"),
-            shared_plan_hits: g("sim_shared_plan_hits"),
-            cal_rekeys: g("sim_cal_rekeys"),
-            cal_bucket_drains: g("sim_cal_bucket_drains"),
             cal_overflow_len: g("sim_cal_overflow_len"),
-            cal_overflow_peak: g("sim_cal_overflow_peak"),
-            heap_pushes: g("sim_heap_pushes"),
-            heap_pops: g("sim_heap_pops"),
-            heap_skips: g("sim_heap_skips"),
-            arena_slot_reuses: g("sim_arena_slot_reuses"),
-            parallel_rerate_batches: g("sim_parallel_rerate_batches"),
-            cal_exact_removals: g("sim_cal_exact_removals"),
             fault_downtime_s: g("sim_fault_downtime_s"),
             fault_restarts: g("sim_fault_restarts"),
             fault_energy_wasted_j: g("sim_fault_energy_wasted_j"),
@@ -1433,8 +1444,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             rank_dirty: vec![false; trace.world()],
             ranks_of_gpu,
             events_since_rekey: 0,
-            rerate_slots: Vec::new(),
-            rerate_rates: Vec::new(),
             plan_cache: (0..num_colls).map(|_| None).collect(),
             shared_plans: None,
             coll_class,
@@ -1814,6 +1823,10 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// relaxes by a fixed affine map. Those ticks run as holds
     /// ([`GpuThermal::idle_hold`]), which reproduce `control_update` bit for
     /// bit at a fraction of its cost. The redo stretch runs full ticks.
+    ///
+    /// The stall stops early once the clock passes
+    /// [`SimConfig::max_sim_time_s`], so the run loop reports the timeout
+    /// instead of ticking through an outage that outlasts the cap.
     fn fault_stall(&mut self, rt: &mut FaultRuntime, idle_s: f64, redo_s: f64) {
         let start = self.t;
         let end = start + idle_s.max(0.0) + redo_s.max(0.0);
@@ -1834,7 +1847,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         // Per active GPU in control order, once every GPU holds.
         let mut holds: Vec<(u32, IdleHold)> = Vec::new();
         let mut redo_started = false;
-        while end - self.t > 1e-9 {
+        while end - self.t > 1e-9 && self.t <= self.cfg.max_sim_time_s {
             let dt = (self.next_control - self.t).min(end - self.t).max(1e-9);
             let redo_overlap = (self.t + dt - redo_from.max(self.t)).max(0.0).min(dt);
             if redo_overlap > 0.0 {
@@ -2006,15 +2019,16 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 });
             }
         }
-        self.stats.cal_overflow_peak = self.calq.overflow_peak as u64;
         self.publish_metrics();
         Ok(())
     }
 
-    /// Push the current engine counters and live quantities into the
-    /// attached metrics shard (no-op without one). Called at control
-    /// boundaries and once at run end; never on the per-event path.
+    /// Bring `stats.cal_overflow_peak` up to date, then push the engine
+    /// counters and live quantities into the attached metrics shard (if
+    /// any). Called at control boundaries and once at run end; never on
+    /// the per-event path.
     fn publish_metrics(&mut self) {
+        self.stats.cal_overflow_peak = self.calq.overflow_peak as u64;
         let Some(m) = self.metrics.as_deref_mut() else {
             return;
         };
@@ -2026,26 +2040,13 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         m.last_wall = now;
         m.last_events = self.stats.events;
+        for (gauge, (_, value)) in m.counters.iter().zip(self.stats.counters()) {
+            gauge.set(value as f64);
+        }
         m.sim_time_s.set(self.t);
-        m.events.set(self.stats.events as f64);
         m.live_flows.set(self.flow_order.len() as f64);
         m.live_computing.set(self.computing_ranks.len() as f64);
-        m.flows_launched.set(self.stats.flows_launched as f64);
-        m.plan_builds.set(self.stats.plan_builds as f64);
-        m.plan_reuses.set(self.stats.plan_reuses as f64);
-        m.shared_plan_hits.set(self.stats.shared_plan_hits as f64);
-        m.cal_rekeys.set(self.stats.cal_rekeys as f64);
-        m.cal_bucket_drains.set(self.stats.cal_bucket_drains as f64);
         m.cal_overflow_len.set(self.calq.overflow.len() as f64);
-        m.cal_overflow_peak.set(self.calq.overflow_peak as f64);
-        m.heap_pushes.set(self.stats.heap_pushes as f64);
-        m.heap_pops.set(self.stats.heap_pops as f64);
-        m.heap_skips.set(self.stats.heap_skips as f64);
-        m.arena_slot_reuses.set(self.stats.arena_slot_reuses as f64);
-        m.parallel_rerate_batches
-            .set(self.stats.parallel_rerate_batches as f64);
-        m.cal_exact_removals
-            .set(self.stats.cal_exact_removals as f64);
         if let Some(rt) = &self.fault {
             m.fault_downtime_s.set(rt.downtime_s);
             m.fault_restarts.set(rt.restarts as f64);
@@ -2490,7 +2491,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
 
     /// Push a fresh completion entry for a computing rank — but only when
     /// the fresh prediction undercuts the stored key (same lower-bound
-    /// reasoning as [`Self::rekey_rated_flow`]). The superseded entry is removed
+    /// reasoning as [`Self::rekey_flow`]). The superseded entry is removed
     /// *here*, at the push site, via the rank's stored location — not left
     /// to be popped and skipped later. `force` pushes unconditionally
     /// after the calendar was rebuilt.
@@ -2533,49 +2534,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
     }
 
-    /// Install a freshly computed bottleneck `rate` for the flow in `slot`
-    /// and re-key its calendar entry if the new prediction undercuts the
-    /// stored key.
-    ///
-    /// Queue keys only need to stay *lower bounds* on true completion
-    /// times. A rate decrease (the launch-storm common case) moves the
-    /// completion later, so the existing entry's key is still a valid —
-    /// merely loose — lower bound and no queue traffic happens at all;
-    /// loose keys are re-tightened lazily when they drain. Only when the
-    /// fresh prediction is *earlier* than the stored key (a rate increase)
-    /// does the old entry get removed — at this push site, via its stored
-    /// location — and a re-keyed one inserted.
-    fn rekey_rated_flow(&mut self, slot: usize, rate: f64) {
-        if rate.to_bits() != self.fa.rate[slot].to_bits() {
-            accrual::bank_flow_segment(
-                self.fa.rate[slot],
-                self.t,
-                &mut self.fa.acc_since[slot],
-                &mut self.fa.moved_acc[slot],
-            );
-            self.fa.rate[slot] = rate;
-        }
-        let key = self.t + self.fa.remaining[slot] / rate;
-        if key >= self.fa.heap_key[slot] {
-            return;
-        }
-        self.fa.heap_key[slot] = key;
-        let old = self.fa.cal_loc[slot];
-        if old != LOC_NONE {
-            self.calq_remove(old);
-        }
-        self.fa.cal_loc[slot] = self.calq.push(HeapEntry::flow(
-            key,
-            slot as u32,
-            self.fa.generation(slot as u32),
-        ));
-        self.stats.heap_pushes += 1;
-    }
-
-    /// Recompute the flow's rate fresh and push an entry unconditionally —
-    /// the calendar was just rebuilt (`rekey_all`) and every flow needs an
-    /// entry regardless of the old key.
-    fn rekey_flow_forced(&mut self, slot: usize) {
+    /// Recompute the flow's bottleneck rate from the current loads, install
+    /// it (banking the accrual segment a changed rate closes) and stamp it
+    /// current for this `load_epoch`.
+    #[inline(always)]
+    fn refresh_flow_rate(&mut self, slot: usize) -> f64 {
         let rate = flow_rate(
             slot,
             &self.fa.pf,
@@ -2594,7 +2557,31 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.fa.rate[slot] = rate;
         }
         self.fa.rate_epoch[slot] = self.load_epoch;
+        rate
+    }
+
+    /// Refresh the flow's rate and re-key its calendar entry if the new
+    /// prediction undercuts the stored key; `force` pushes unconditionally
+    /// after the calendar was rebuilt (`rekey_all`).
+    ///
+    /// Queue keys only need to stay *lower bounds* on true completion
+    /// times. A rate decrease (the launch-storm common case) moves the
+    /// completion later, so the existing entry's key is still a valid —
+    /// merely loose — lower bound and no queue traffic happens at all;
+    /// loose keys are re-tightened lazily when they drain. Only when the
+    /// fresh prediction is *earlier* than the stored key (a rate increase)
+    /// does the old entry get removed — at this push site, via its stored
+    /// location — and a re-keyed one inserted.
+    ///
+    /// Forced inline, like `refresh_flow_rate`: `next_dt` calls it once per
+    /// dirty flow on every event.
+    #[inline(always)]
+    fn rekey_flow(&mut self, slot: usize, force: bool) {
+        let rate = self.refresh_flow_rate(slot);
         let key = self.t + self.fa.remaining[slot] / rate;
+        if !force && key >= self.fa.heap_key[slot] {
+            return;
+        }
         self.fa.heap_key[slot] = key;
         let old = self.fa.cal_loc[slot];
         if old != LOC_NONE {
@@ -2627,7 +2614,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 dt = dt.min(remaining_flops / self.compute_rate(rank, kind));
             }
         }
-        let epoch = self.load_epoch;
         for oi in 0..self.flow_order.len() {
             let slot = self.flow_order[oi] as usize;
             let pf = self.plan_flows[self.fa.pf[slot] as usize];
@@ -2636,24 +2622,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 stale |= self.link_dirty[self.route_arena.item(li).link as usize];
             }
             if stale {
-                let rate = flow_rate(
-                    slot,
-                    &self.fa.pf,
-                    &self.plan_flows,
-                    &self.route_arena,
-                    &self.link_load,
-                    &self.link_health,
-                );
-                if rate.to_bits() != self.fa.rate[slot].to_bits() {
-                    accrual::bank_flow_segment(
-                        self.fa.rate[slot],
-                        self.t,
-                        &mut self.fa.acc_since[slot],
-                        &mut self.fa.moved_acc[slot],
-                    );
-                    self.fa.rate[slot] = rate;
-                }
-                self.fa.rate_epoch[slot] = epoch;
+                self.refresh_flow_rate(slot);
             }
             dt = dt.min(self.fa.remaining[slot] / self.fa.rate[slot]);
         }
@@ -2711,7 +2680,7 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
             self.rank_loc[self.computing_ranks[idx]] = LOC_NONE;
         }
         for oi in 0..self.flow_order.len() {
-            self.rekey_flow_forced(self.flow_order[oi] as usize);
+            self.rekey_flow(self.flow_order[oi] as usize, true);
         }
         for idx in 0..self.computing_ranks.len() {
             let rank = self.computing_ranks[idx];
@@ -2728,14 +2697,14 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
     /// reduction over positive finite candidates, so the identical `dt` bits
     /// emerge from *any* evaluation order as long as the same candidate set
     /// is covered. This implementation only evaluates candidates that can
-    /// matter: it pops the completion heap while an entry's conservative key
+    /// matter: it drains calendar buckets while a bucket's conservative keys
     /// can still undercut the running `dt` (plus a drift margin), evaluates
-    /// the popped entry's exact candidate from current state, and re-pushes
-    /// it. Keys are lower bounds on true completion times (rates only
-    /// *decrease* between re-keys: every rate increase — a link load
+    /// each drained entry's exact candidate from current state, and
+    /// re-pushes it. Keys are lower bounds on true completion times (rates
+    /// only *decrease* between re-keys: every rate increase — a link load
     /// dropping, a GPU's overlap penalty clearing, a frequency step —
     /// dirties and re-keys its entries first), so no candidate that could
-    /// lower `dt` is ever missed; spurious pops are harmless because the
+    /// lower `dt` is ever missed; spurious drains are harmless because the
     /// candidate itself is always recomputed exactly.
     ///
     /// Rates are refreshed (and entries re-keyed) in batch for exactly the
@@ -2780,78 +2749,25 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
         }
         self.events_since_rekey += 1;
 
-        // Re-rate + re-key flows touched by link-load changes, in three
-        // stages: gather the dirty set (deduplicated by stamping
-        // `rate_epoch` at gather time), compute every gathered flow's rate
-        // — a pure function of frozen loads, fanned out over scoped
-        // workers when the batch is big enough — then write back and
-        // re-key serially in gather order. The serial pass visits the
-        // exact flows in the exact order the all-serial path would, so
-        // any worker count produces bit-identical simulations.
+        // Re-rate + re-key flows touched by link-load changes, visiting
+        // each dirty link's flows in membership order and skipping flows
+        // already re-rated this round (`rate_epoch` stamped on first
+        // visit). Re-keying touches neither loads nor membership, so every
+        // rate is computed from the same frozen loads.
         let mut dirty = std::mem::take(&mut self.dirty_links);
-        let mut batch = std::mem::take(&mut self.rerate_slots);
         let epoch = self.load_epoch;
         for &link in &dirty {
             let link = link as usize;
             self.link_dirty[link] = false;
             for k in 0..self.link_flows[link].len() {
-                let (slot, _) = self.link_flows[link][k];
-                if self.fa.rate_epoch[slot as usize] != epoch {
-                    self.fa.rate_epoch[slot as usize] = epoch;
-                    batch.push(slot);
+                let slot = self.link_flows[link][k].0 as usize;
+                if self.fa.rate_epoch[slot] != epoch {
+                    self.rekey_flow(slot, false);
                 }
             }
         }
         dirty.clear();
         self.dirty_links = dirty;
-        if !batch.is_empty() {
-            let mut rates = std::mem::take(&mut self.rerate_rates);
-            rates.clear();
-            rates.resize(batch.len(), 0.0);
-            let workers = self.cfg.rerate_workers;
-            if workers > 1 && batch.len() >= PAR_RERATE_MIN {
-                self.stats.parallel_rerate_batches += 1;
-                let chunk = batch.len().div_ceil(workers);
-                let pf_of = &self.fa.pf;
-                let plan_flows = &self.plan_flows;
-                let route_arena = &self.route_arena;
-                let link_load = &self.link_load;
-                let link_health = &self.link_health;
-                std::thread::scope(|s| {
-                    for (bs, rs) in batch.chunks(chunk).zip(rates.chunks_mut(chunk)) {
-                        s.spawn(move || {
-                            for (r, &slot) in rs.iter_mut().zip(bs) {
-                                *r = flow_rate(
-                                    slot as usize,
-                                    pf_of,
-                                    plan_flows,
-                                    route_arena,
-                                    link_load,
-                                    link_health,
-                                );
-                            }
-                        });
-                    }
-                });
-            } else {
-                for (r, &slot) in rates.iter_mut().zip(&batch) {
-                    *r = flow_rate(
-                        slot as usize,
-                        &self.fa.pf,
-                        &self.plan_flows,
-                        &self.route_arena,
-                        &self.link_load,
-                        &self.link_health,
-                    );
-                }
-            }
-            for (k, &slot) in batch.iter().enumerate() {
-                self.rekey_rated_flow(slot as usize, rates[k]);
-            }
-            self.rerate_rates = rates;
-        }
-        batch.clear();
-        self.rerate_slots = batch;
 
         // Re-key computes whose rate inputs changed.
         let mut dirty = std::mem::take(&mut self.dirty_ranks);
@@ -2900,7 +2816,6 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                 let candidate = if e.is_compute() {
                     let rank = e.id();
                     if self.rank_epoch[rank] != e.epoch() {
-                        self.stats.heap_skips += 1;
                         continue;
                     }
                     self.rank_loc[rank] = LOC_NONE;
@@ -2909,15 +2824,11 @@ impl<'a, O: SimObserver> Simulator<'a, O> {
                             kind,
                             remaining_flops,
                         } => remaining_flops / self.compute_rate(rank, kind),
-                        _ => {
-                            self.stats.heap_skips += 1;
-                            continue;
-                        }
+                        _ => continue,
                     }
                 } else {
                     let slot = e.id();
                     if slot >= self.fa.num_slots() || self.fa.gen[slot] != e.epoch() {
-                        self.stats.heap_skips += 1;
                         continue;
                     }
                     self.fa.cal_loc[slot] = LOC_NONE;

@@ -13,6 +13,7 @@
 //!    and restart/downtime accounting, with MTBF sweeps served by the
 //!    shared memoization cache on repeated points.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use charllm::prelude::*;
@@ -22,7 +23,7 @@ use charllm_models::{presets as models, TrainJob as Job};
 use charllm_net::{ChunkingPolicy, CollectiveKind};
 use charllm_parallel::{Placement, StagePartition};
 use charllm_sim::reference::ReferenceSimulator;
-use charllm_sim::{FaultPlan, RecoveryPolicy, SimError, SimResult, Simulator};
+use charllm_sim::{FaultPlan, RecoveryPolicy, SimError, SimObserver, SimResult, Simulator};
 use charllm_trace::builder::{CollKey, TraceBuilder};
 use charllm_trace::lower::{lower_train, DeviceHints};
 use charllm_trace::trace::TraceMeta;
@@ -493,4 +494,63 @@ fn fail_stop_outputs_are_pinned_bit_for_bit() {
         d.u64(u64::from(tick.measuring));
     }
     assert_digest("observed power ticks", d.0, 0xd50e_da10_ab11_07c4);
+}
+
+/// Counts `sample_tick` calls through a shared counter, so the count
+/// survives a run that ends in an error (which drops the observer).
+struct TickCounter(Arc<AtomicU64>);
+
+impl SimObserver for TickCounter {
+    fn sample_tick(
+        &mut self,
+        _gpu: u32,
+        _t_s: f64,
+        _power_w: f64,
+        _period_s: f64,
+        _measuring: bool,
+    ) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// An outage far longer than the simulated-time cap ends the run with a
+/// timeout once the clock passes the cap, instead of ticking through the
+/// whole outage first.
+#[test]
+fn fail_stop_outage_past_the_time_cap_times_out_promptly() {
+    let cluster = one_node_cluster();
+    let trace = gpt3_trace(&cluster, 8);
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let mut cfg = SimConfig::fast();
+    cfg.max_sim_time_s = 50.0;
+    let plan =
+        FaultPlan::none()
+            .gpu_fail_stop(0, 0.1)
+            .with_recovery(RecoveryPolicy::CheckpointRestart {
+                checkpoint_interval_s: 10.0,
+                restart_latency_s: 1e5,
+            });
+    let ticks = Arc::new(AtomicU64::new(0));
+    let outcome = Simulator::with_observer(
+        &cluster,
+        &placement,
+        &trace,
+        cfg,
+        TickCounter(Arc::clone(&ticks)),
+    )
+    .unwrap()
+    .with_faults(&plan)
+    .unwrap()
+    .run();
+    assert!(
+        matches!(outcome, Err(SimError::Timeout { cap_s }) if cap_s == 50.0),
+        "expected a timeout at the 50 s cap, got {outcome:?}"
+    );
+    let per_gpu = (cfg.max_sim_time_s / cfg.control_period_s) as u64 + 2;
+    let ticks = ticks.load(Ordering::Relaxed);
+    let bound = per_gpu * cluster.num_gpus() as u64;
+    assert!(
+        ticks <= bound,
+        "{ticks} sample ticks, more than the {bound} the cap allows"
+    );
 }

@@ -10,8 +10,11 @@ use std::sync::{Arc, Mutex};
 use proptest::prelude::*;
 
 use charllm::prelude::*;
+use charllm_parallel::{Placement, StagePartition};
+use charllm_sim::Simulator;
 use charllm_telemetry::metrics::MetricsHub;
 use charllm_telemetry::MetricsSnapshot;
+use charllm_trace::lower::{lower_train, DeviceHints};
 
 /// A cloneable writer that accumulates into shared memory, so a test can
 /// hand it to a [`ProgressStream`] and read the lines back afterwards.
@@ -194,6 +197,47 @@ fn engine_gauges_populate_under_enabled_hub() {
         .filter(|(id, _)| id.name == "sim_stage_seconds")
         .count();
     assert_eq!(stages, 4, "lower/plan_setup/event_loop/report series");
+}
+
+/// The engine publishes its whole counter table: at run end every
+/// `EngineStats::counters` entry reads back as the gauge `sim_<name>`,
+/// including the fault-stall counters a fail-stop drives.
+#[test]
+fn engine_counter_table_reaches_the_hub() {
+    let cluster = single_hgx_node();
+    let job = TrainJob::pretrain(gpt3_13b()).with_global_batch(8);
+    let spec = spec("TP2-PP2");
+    let partition = StagePartition::even(40, 2).unwrap();
+    let hints = DeviceHints::for_spec(cluster.gpu());
+    let trace = lower_train(&job, &spec, PipelineSchedule::OneFOneB, &partition, &hints)
+        .unwrap()
+        .trace;
+    let placement = Placement::identity(&cluster, trace.world()).unwrap();
+    let plan =
+        FaultPlan::none()
+            .gpu_fail_stop(0, 0.1)
+            .with_recovery(RecoveryPolicy::CheckpointRestart {
+                checkpoint_interval_s: 10.0,
+                restart_latency_s: 1.0,
+            });
+    let hub = MetricsHub::new(1);
+    let (_, stats) = Simulator::new(&cluster, &placement, &trace, SimConfig::fast())
+        .unwrap()
+        .with_faults(&plan)
+        .unwrap()
+        .with_metrics(&hub.shard(0))
+        .run_stats()
+        .unwrap();
+    let snap = hub.snapshot();
+    for (name, value) in stats.counters() {
+        let gauge = format!("sim_{name}");
+        assert_eq!(
+            snap.gauge(&gauge, &[("worker", "0")]),
+            Some(value as f64),
+            "{gauge} must equal EngineStats::{name} at run end"
+        );
+    }
+    assert!(snap.gauge("sim_stall_ticks", &[("worker", "0")]).unwrap() > 0.0);
 }
 
 #[test]
